@@ -544,6 +544,12 @@ impl<'h> Ctx<'h> {
         self.wait_ids(reqs, mode)
     }
 
+    /// Issues a simcall a replay driver produced (a `smpi-replay` cursor
+    /// feeding a rank thread) and returns the maestro's raw response.
+    pub fn replay_simcall(&self, call: Simcall) -> SimResp {
+        self.call(call)
+    }
+
     /// Replays a captured region annotation. Gated on metrics being enabled,
     /// like the collectives' own region guards.
     pub fn replay_region(&self, name: &'static str, enter: bool) {

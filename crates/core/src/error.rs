@@ -4,15 +4,17 @@
 //! the kernel or the maestro loop. Both conditions are now surfaced as a
 //! [`SimError`] through [`crate::world::World::try_run`], so harnesses (and
 //! tests) can distinguish a modelling bug from an infrastructure crash and
-//! report *which* actions or ranks are stuck.
+//! report *which* actions or ranks are stuck. A streaming capture file
+//! that cannot be created or written is a [`SimError::Capture`].
 //!
-//! Both variants carry a [`Postmortem`] snapshot from the always-on flight
-//! recorder: each blocked rank's last ops, its pending request specs, and
-//! the nearest matching counterpart — so `Display` prints an actionable
-//! diagnosis ("rank 1 is waiting on tag 9 but rank 0 sent tag 7") instead
-//! of a bare rank count.
+//! The progress failures carry a [`Postmortem`] snapshot from the
+//! always-on flight recorder: each blocked rank's last ops, its pending
+//! request specs, and the nearest matching counterpart — so `Display`
+//! prints an actionable diagnosis ("rank 1 is waiting on tag 9 but rank 0
+//! sent tag 7") instead of a bare rank count.
 
 use std::fmt;
+use std::path::PathBuf;
 
 use crate::flight::Postmortem;
 
@@ -55,15 +57,28 @@ pub enum SimError {
         /// Flight-recorder snapshot at the point of failure.
         postmortem: Box<Postmortem>,
     },
+    /// The streaming capture file (`World::capture_to`) could not be
+    /// created, or writing the captured ops to it failed.
+    Capture {
+        /// The capture file.
+        path: PathBuf,
+        /// The underlying I/O failure.
+        source: std::io::Error,
+    },
 }
 
+/// The postmortem of a failure that involves no rank.
+static NO_POSTMORTEM: Postmortem = Postmortem { ranks: Vec::new() };
+
 impl SimError {
-    /// The flight-recorder snapshot attached to the failure.
+    /// The flight-recorder snapshot attached to the failure (empty for a
+    /// capture I/O failure, which involves no rank).
     pub fn postmortem(&self) -> &Postmortem {
         match self {
             SimError::Stall { postmortem, .. }
             | SimError::Deadlock { postmortem, .. }
             | SimError::Protocol { postmortem, .. } => postmortem,
+            SimError::Capture { .. } => &NO_POSTMORTEM,
         }
     }
 }
@@ -103,6 +118,9 @@ impl fmt::Display for SimError {
                 }
                 Ok(())
             }
+            SimError::Capture { path, source } => {
+                write!(f, "capture file {}: {source}", path.display())
+            }
         }
     }
 }
@@ -111,6 +129,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Stall { error, .. } => Some(error),
+            SimError::Capture { source, .. } => Some(source),
             SimError::Deadlock { .. } | SimError::Protocol { .. } => None,
         }
     }

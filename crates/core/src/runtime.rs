@@ -28,7 +28,8 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use simix::{ActorEvent, ActorId, Simix};
+use simix::Simix;
+pub use simix::{ActorEvent, ActorId, Driver, RunQueue};
 use smpi_obs::{
     ContentionReport, FlowAttribution, FlowRecord, Rec, Recorder, SelfProfile, TimeSeries,
     TsInstant,
@@ -555,7 +556,10 @@ impl Runtime {
     /// Fails with [`SimError::Stall`] when the fabric has in-flight work
     /// that can never complete, and [`SimError::Deadlock`] when ranks are
     /// blocked with nothing in flight.
-    pub fn drive(&mut self, sx: &mut Sx) -> Result<(), SimError> {
+    ///
+    /// Generic over the [`Driver`], so each driver gets its own
+    /// monomorphised loop with no dynamic dispatch per simcall.
+    pub fn drive<D: Driver<Simcall, SimResp>>(&mut self, sx: &mut D) -> Result<(), SimError> {
         let mut alive = sx.num_actors();
         if self.rec.is_enabled() {
             let t = self.now();
@@ -877,9 +881,9 @@ impl Runtime {
         ))
     }
 
-    fn handle_simcall(
+    fn handle_simcall<D: Driver<Simcall, SimResp>>(
         &mut self,
-        sx: &mut Sx,
+        sx: &mut D,
         actor: ActorId,
         call: Simcall,
     ) -> Result<(), SimError> {
@@ -1238,14 +1242,25 @@ impl Runtime {
         Ok(())
     }
 
+    /// `true` when world ranks `a` and `b` are placed on the same host.
+    fn same_host(&self, a: u32, b: u32) -> bool {
+        self.placement[a as usize] == self.placement[b as usize]
+    }
+
     /// Starts the wire transfer (or local copy) for a message.
     fn begin_wire(&mut self, mid: MsgId) -> Result<(), SimError> {
         let pre = self.profile.send_overhead;
         let self_rate = self.profile.self_rate;
         let recv_overhead = self.profile.recv_overhead;
+        let (src, dst) = {
+            let m = self.msg_mut(mid, "starting the wire for a")?;
+            (m.src, m.dst)
+        };
+        let local = self.same_host(src, dst);
         let m = self.msg_mut(mid, "starting the wire for a")?;
-        if m.src == m.dst {
-            // Self-message: a memcpy-rate delay covers the whole path.
+        if local {
+            // Same host (a self-message, or two ranks sharing a node): a
+            // memcpy-rate delay covers the whole path; no link is crossed.
             let d = pre + m.bytes as f64 / self_rate + recv_overhead;
             m.state = MsgState::PostDelay;
             let tok = self.fabric.start_sleep(d);
@@ -1270,7 +1285,7 @@ impl Runtime {
             debug_assert_eq!(m.state, MsgState::Posted);
             (m.src, m.dst)
         };
-        if src == dst {
+        if self.same_host(src, dst) {
             return self.begin_wire(mid);
         }
         let mut delay = self.profile.send_overhead;
@@ -1475,7 +1490,7 @@ impl Runtime {
 
     /// Resolves every waiting actor whose condition now holds; returns how
     /// many actors were made runnable (the telemetry tick's "woken" count).
-    fn resolve_waiters(&mut self, sx: &mut Sx) -> usize {
+    fn resolve_waiters<D: Driver<Simcall, SimResp>>(&mut self, sx: &mut D) -> usize {
         let t0 = self.profiling.then(Instant::now);
         // Exec/Sleep completions first.
         let mut woken = 0;

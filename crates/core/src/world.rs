@@ -18,7 +18,7 @@ use crate::capture::TiTrace;
 use crate::ctx::Ctx;
 use crate::error::SimError;
 use crate::fabric::{Fabric, MpiProfile, PacketFabric, SurfFabric};
-use crate::runtime::{Runtime, Sx};
+use crate::runtime::{Driver, Runtime, SimResp, Simcall, Sx};
 use crate::shared_mem::MemoryReport;
 use crate::state::{RunConfig, SharedState};
 use crate::trace::TraceEvent;
@@ -323,25 +323,14 @@ impl World {
     }
 
     /// Like [`run`](Self::run), but surfaces no-progress conditions (kernel
-    /// stalls, unmatched send/recv deadlocks) as a [`SimError`] instead of
-    /// panicking.
+    /// stalls, unmatched send/recv deadlocks) and capture I/O failures as a
+    /// [`SimError`] instead of panicking.
     pub fn try_run<R, F>(&self, nranks: usize, body: F) -> Result<RunReport<R>, SimError>
     where
         R: Send + 'static,
         F: Fn(&Ctx) -> R + Send + Sync + 'static,
     {
-        assert!(nranks > 0, "need at least one rank");
-        let hosts = self.rp.platform().num_hosts();
-        assert!(hosts > 0, "platform has no hosts");
-        let placement: Vec<HostIx> = match &self.placement {
-            Some(p) => {
-                assert_eq!(p.len(), nranks, "placement length != rank count");
-                p.clone()
-            }
-            None => (0..nranks).map(|r| HostIx((r % hosts) as u32)).collect(),
-        };
-
-        let shared = Arc::new(SharedState::new(self.run_config.clone()));
+        let (mut runtime, shared) = self.build_runtime(nranks)?;
         let results: Arc<parking_lot::Mutex<Vec<Option<R>>>> =
             Arc::new(parking_lot::Mutex::new((0..nranks).map(|_| None).collect()));
 
@@ -358,14 +347,70 @@ impl World {
             });
         }
 
+        let start = Instant::now();
+        runtime.drive(&mut sx)?;
+        let wall = start.elapsed();
+
+        let results = Arc::try_unwrap(results)
+            .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
+            .into_inner()
+            .into_iter()
+            .map(|r| r.expect("every rank stores a result"))
+            .collect();
+        self.assemble_report(runtime, &shared, wall, results)
+    }
+
+    /// Drives caller-supplied actors instead of rank threads: one rank per
+    /// actor of `driver`, placed and observed exactly as [`try_run`]
+    /// places and observes rank bodies. This is the entry point of
+    /// thread-free drivers, whose actors are state machines answering the
+    /// maestro's responses with their next simcall (trace replay).
+    ///
+    /// [`try_run`]: Self::try_run
+    pub fn try_drive<D>(&self, driver: &mut D) -> Result<RunReport<()>, SimError>
+    where
+        D: Driver<Simcall, SimResp>,
+    {
+        let nranks = driver.num_actors();
+        let (mut runtime, shared) = self.build_runtime(nranks)?;
+        let start = Instant::now();
+        runtime.drive(driver)?;
+        let wall = start.elapsed();
+        self.assemble_report(runtime, &shared, wall, vec![(); nranks])
+    }
+
+    /// `true` when [`metrics`](Self::metrics) is on. Drivers that issue
+    /// simcalls themselves use it to skip region annotations, as ranks do.
+    pub fn metrics_enabled(&self) -> bool {
+        self.run_config.obs
+    }
+
+    /// Builds the maestro for `nranks` ranks: placement, fabric, published
+    /// clock and every observability facility this world enables, plus
+    /// the state the ranks share.
+    fn build_runtime(&self, nranks: usize) -> Result<(Runtime, Arc<SharedState>), SimError> {
+        assert!(nranks > 0, "need at least one rank");
+        let hosts = self.rp.platform().num_hosts();
+        assert!(hosts > 0, "platform has no hosts");
+        let placement: Vec<HostIx> = match &self.placement {
+            Some(p) => {
+                assert_eq!(p.len(), nranks, "placement length != rank count");
+                p.clone()
+            }
+            None => (0..nranks).map(|r| HostIx((r % hosts) as u32)).collect(),
+        };
+
+        let shared = Arc::new(SharedState::new(self.run_config.clone()));
         let mut runtime = Runtime::new(self.build_fabric(), self.profile.clone(), placement);
         runtime.set_clock(Arc::clone(&shared.clock));
         if self.tracing {
             runtime.enable_tracing();
         }
         if let Some(path) = &self.capture_path {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create capture file {}: {e}", path.display()));
+            let file = std::fs::File::create(path).map_err(|source| SimError::Capture {
+                path: path.clone(),
+                source,
+            })?;
             runtime.enable_capture_stream(
                 Box::new(std::io::BufWriter::new(file)),
                 self.capture_block_ops,
@@ -386,23 +431,24 @@ impl World {
         if let Some(period) = self.progress_every {
             runtime.enable_progress(period, self.progress_hint);
         }
-        let start = Instant::now();
-        runtime.drive(&mut sx)?;
-        let wall = start.elapsed();
+        Ok((runtime, shared))
+    }
 
-        let results = Arc::try_unwrap(results)
-            .unwrap_or_else(|_| panic!("rank bodies leaked the result store"))
-            .into_inner()
-            .into_iter()
-            .map(|r| r.expect("every rank stores a result"))
-            .collect();
-
+    /// Collects a driven runtime's outputs into the run report; finishing a
+    /// streaming capture can still fail with [`SimError::Capture`].
+    fn assemble_report<R>(
+        &self,
+        mut runtime: Runtime,
+        shared: &SharedState,
+        wall: Duration,
+        results: Vec<R>,
+    ) -> Result<RunReport<R>, SimError> {
         let mut profile = runtime.self_profile();
         profile.wall_seconds = wall.as_secs_f64();
         profile.local_simcalls = shared.local_calls();
         if let Some(stats) = runtime.take_capture_stats() {
-            profile.codec =
-                Some(stats.unwrap_or_else(|e| panic!("streaming capture write failed: {e}")));
+            let path = self.capture_path.clone().unwrap_or_default();
+            profile.codec = Some(stats.map_err(|source| SimError::Capture { path, source })?);
         }
 
         Ok(RunReport {

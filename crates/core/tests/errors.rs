@@ -213,3 +213,27 @@ fn tag_mismatch_postmortem_matches_golden_json() {
     let golden = std::fs::read_to_string(golden_path).expect("golden file (run with BLESS=1)");
     assert_eq!(json, golden, "postmortem JSON drifted from the golden file");
 }
+
+/// A streaming capture file that cannot be created is a typed error naming
+/// the path and carrying the I/O failure — no rank runs, nothing panics.
+#[test]
+fn uncreatable_capture_file_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("smpi_no_such_dir_{}", std::process::id()));
+    let path = dir.join("missing").join("run.tit2");
+    let world = World::smpi(platform(2), TransferModel::default_affine()).capture_to(&path);
+    let err = world
+        .try_run(2, |ctx| ctx.compute(1e6))
+        .expect_err("the capture file's directory does not exist");
+    match &err {
+        SimError::Capture { path: p, source } => {
+            assert_eq!(p, &path);
+            assert_eq!(source.kind(), std::io::ErrorKind::NotFound);
+        }
+        other => panic!("expected a capture error, got {other:?}"),
+    }
+    let msg = err.to_string();
+    assert!(msg.contains("capture file"), "{msg}");
+    assert!(msg.contains("run.tit2"), "{msg}");
+    assert!(err.postmortem().ranks.is_empty());
+    assert!(std::error::Error::source(&err).is_some());
+}

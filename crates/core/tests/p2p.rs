@@ -354,3 +354,37 @@ fn unmatched_recv_deadlocks_loudly() {
         }
     });
 }
+
+#[test]
+fn ranks_sharing_a_host_exchange_eager_and_rendezvous_messages() {
+    // Two distinct ranks placed on one host: their messages never cross a
+    // link, so both the eager (small) and the rendezvous (large) message
+    // take the local-copy path on both backends — delivered intact, and
+    // faster than the same exchange between two hosts.
+    const SMALL: usize = 16; // 128 B: eager under every profile
+    const LARGE: usize = 1 << 17; // 1 MiB: rendezvous under every profile
+    let exchange = |ctx: &smpi::Ctx| {
+        let comm = ctx.world();
+        let peer = 1 - ctx.rank();
+        let small = vec![ctx.rank() as f64 + 1.0; SMALL];
+        let large = vec![ctx.rank() as f64 + 2.0; LARGE];
+        let mut got_small = vec![0.0f64; SMALL];
+        let mut got_large = vec![0.0f64; LARGE];
+        ctx.sendrecv(&small, peer, 1, &mut got_small, peer as i32, 1, &comm);
+        ctx.sendrecv(&large, peer, 2, &mut got_large, peer as i32, 2, &comm);
+        (got_small[0], got_large[LARGE - 1])
+    };
+    for world in both(2) {
+        let shared = world.clone().place(vec![0, 0]).run(2, exchange);
+        assert_eq!(shared.results, vec![(2.0, 3.0), (1.0, 2.0)]);
+        assert!(shared.sim_time > 0.0);
+        let apart = world.place(vec![0, 1]).run(2, exchange);
+        assert_eq!(apart.results, shared.results);
+        assert!(
+            shared.sim_time < apart.sim_time,
+            "local copy {} should beat the wire {}",
+            shared.sim_time,
+            apart.sim_time
+        );
+    }
+}

@@ -12,9 +12,9 @@
 use crate::{SelfProfile, SweepStats, TimeSeries};
 
 /// Types that can reduce themselves to their deterministic projection —
-/// zeroing every host-dependent (wall-clock, rate, memory-address) field
-/// while leaving simulated quantities untouched. After
-/// [`strip_nondeterminism`](Deterministic::strip_nondeterminism), two
+/// zeroing every host-dependent (wall-clock, rate, memory-address,
+/// thread-scheduling) field while leaving simulated quantities untouched.
+/// After [`strip_nondeterminism`](Deterministic::strip_nondeterminism), two
 /// values produced by identical simulated runs must compare (and
 /// serialize) byte-identically.
 pub trait Deterministic {
@@ -43,8 +43,11 @@ impl Deterministic for TimeSeries {
 }
 
 impl Deterministic for SweepStats {
+    /// Drops the per-worker rows altogether: how many workers ran, and how
+    /// the scenarios split and were stolen between them, are properties of
+    /// the pool and the host's scheduling, not of the simulated matrix.
     fn strip_nondeterminism(&mut self) {
-        self.strip_wallclock();
+        self.workers.clear();
     }
 }
 

@@ -45,6 +45,22 @@
 //! return typed [`TraceIoError`]s; `load_trace` sniffs the leading magic,
 //! so v1 text and v2 binary files load through the same call forever.
 //!
+//! ## Thread-free ranks
+//!
+//! A replayed rank runs no application code, so it needs no thread. Each
+//! rank is a [`ReplayCursor`]: a state machine over its op stream that
+//! absorbs the maestro's answer to its previous simcall and returns its
+//! next one. A cursor driver steps the runnable cursors in actor-id order
+//! (the `simix` scheduling contract) through `World::try_drive`, so a
+//! replay spawns no thread and passes no baton, and the rank count is
+//! bounded by memory rather than by the host's thread limits. Outputs are
+//! byte-identical to running each rank on a thread: same simcalls, same
+//! order, same resolution order.
+//!
+//! Replays with a [`ReplayOptions::coll_hook`] are the exception: the hook
+//! issues its substitute traffic through a live [`Ctx`], so each rank runs
+//! on a thread that feeds the same cursor's simcalls through its `Ctx`.
+//!
 //! ## Semantics under model swap
 //!
 //! The trace fixes each rank's *order* of simcalls; the target world fixes
@@ -83,7 +99,8 @@ use std::sync::Arc;
 
 use smpi::capture::intern_region;
 use smpi::capture_v2::{TiV2Reader, TiV2Writer, DEFAULT_BLOCK_OPS, TIT2_MAGIC};
-use smpi::{Ctx, ReqId, RunReport, TiOp, TiTrace, TraceIoError, World};
+use smpi::runtime::{ActorEvent, ActorId, Driver, RunQueue, SimResp, Simcall};
+use smpi::{Ctx, ReqId, RunReport, SimError, TiOp, TiTrace, TraceIoError, World};
 
 /// A per-rank supplier of time-independent ops. Implemented by in-memory
 /// traces and by the streaming `TITRACE2` reader; the replay engine never
@@ -170,8 +187,9 @@ pub struct ReplayOptions {
 /// report (same observability artifacts as an on-line run: metrics, Paje
 /// timelines, self-profile — per the world's configuration).
 ///
-/// No application code executes: each rank is a trace cursor issuing the
-/// captured simcalls with data-less messages.
+/// No application code executes: each rank is a [`ReplayCursor`] issuing
+/// the captured simcalls with data-less messages, stepped by the maestro
+/// itself with no thread per rank.
 pub fn replay(world: &World, trace: &TiTrace) -> RunReport<()> {
     replay_shared(world, Arc::new(trace.clone()))
 }
@@ -200,102 +218,248 @@ pub fn replay_source<S: OpSource>(world: &World, source: Arc<S>) -> RunReport<()
     replay_with(world, source, ReplayOptions::default())
 }
 
-/// Replays any [`OpSource`] with explicit [`ReplayOptions`].
+/// Replays any [`OpSource`] with explicit [`ReplayOptions`]. Panics on a
+/// deadlock or stall; [`try_replay_with`] returns those as errors.
 pub fn replay_with<S: OpSource>(
     world: &World,
     source: Arc<S>,
     opts: ReplayOptions,
 ) -> RunReport<()> {
+    try_replay_with(world, source, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Like [`replay_with`], but surfaces deadlocks, stalls and protocol
+/// violations of the trace as a [`SimError`] (with its postmortem).
+///
+/// Without a collective hook the ranks are [`ReplayCursor`]s stepped by a
+/// thread-free driver. A [`ReplayOptions::coll_hook`] needs a live [`Ctx`]
+/// to issue its substitute traffic, so hooked replays run each rank on a
+/// thread that feeds the *same* cursor's simcalls through its [`Ctx`].
+pub fn try_replay_with<S: OpSource>(
+    world: &World,
+    source: Arc<S>,
+    opts: ReplayOptions,
+) -> Result<RunReport<()>, SimError> {
     let nranks = source.num_ranks();
     assert!(nranks > 0, "cannot replay an empty trace");
-    let hook = opts.coll_hook;
-    world.run(nranks, move |ctx| {
+    let obs = world.metrics_enabled();
+    let Some(hook) = opts.coll_hook else {
+        let mut driver = CursorDriver::new(
+            (0..nranks)
+                .map(|r| ReplayCursor::new(r, Arc::clone(&source).rank_ops(r), obs))
+                .collect(),
+        );
+        return world.try_drive(&mut driver);
+    };
+    world.try_run(nranks, move |ctx| {
         let ops = Arc::clone(&source).rank_ops(ctx.rank());
-        replay_rank(ctx, ops, hook.as_deref());
+        let mut cursor = ReplayCursor::new(ctx.rank(), ops, obs);
+        let mut resp = None;
+        while let Some(call) = cursor.next_call(resp.take(), |site| hook(ctx, site)) {
+            resp = Some(ctx.replay_simcall(call));
+        }
     })
 }
 
-/// Replays one rank's op stream (the whole replay "application").
-fn replay_rank(ctx: &Ctx, mut ops: impl Iterator<Item = TiOp>, hook: Option<&CollHook>) {
-    // Requests are named by post index in the trace; `live` maps the index
-    // of each not-yet-consumed request to its id in this replay.
-    let mut n_posted: u32 = 0;
-    let mut live: HashMap<u32, ReqId> = HashMap::new();
-    while let Some(op) = ops.next() {
-        match op {
-            TiOp::Compute { flops } => ctx.compute(flops),
-            TiOp::Sleep { secs } => ctx.sleep(secs),
-            TiOp::Send {
-                dst,
-                cid,
-                tag,
-                bytes,
-            } => {
-                let req = ctx.replay_send(dst, cid, tag, bytes);
-                live.insert(n_posted, req);
-                n_posted += 1;
-            }
-            TiOp::Recv {
-                src,
-                cid,
-                tag,
-                max_bytes,
-            } => {
-                let req = ctx.replay_recv(src, cid, tag, max_bytes);
-                live.insert(n_posted, req);
-                n_posted += 1;
-            }
-            TiOp::Wait { reqs, mode } => {
-                // Filter to requests still live in this replay (see the
-                // crate docs on divergence under model swap).
-                let waited: Vec<(u32, ReqId)> = reqs
-                    .iter()
-                    .filter_map(|ix| live.get(ix).map(|r| (*ix, *r)))
-                    .collect();
-                if waited.is_empty() {
-                    continue; // captured wait already satisfied here
+/// One replayed rank as a state machine over its op stream: the whole
+/// replay "application". Each [`next_call`](Self::next_call) absorbs the
+/// maestro's answer to the previous simcall and runs the trace forward to
+/// the next one, so a driver needs no stack and no thread to step it.
+///
+/// Requests are named by post index in the trace; the cursor maps each
+/// not-yet-consumed index to its request in *this* replay and filters
+/// every captured wait down to the requests still live here (see the crate
+/// docs on divergence under model swap).
+pub struct ReplayCursor<I> {
+    rank: usize,
+    ops: I,
+    /// Whether region annotations become simcalls (metrics on).
+    obs: bool,
+    n_posted: u32,
+    live: HashMap<u32, ReqId>,
+    /// Trace post index of each request in the last wait simcall, in the
+    /// order of its request list (completions name them by position).
+    waited: Vec<u32>,
+}
+
+impl<I: Iterator<Item = TiOp>> ReplayCursor<I> {
+    /// A cursor at the start of rank `rank`'s op stream. `obs` mirrors
+    /// [`World::metrics_enabled`]: region annotations are issued only then.
+    pub fn new(rank: usize, ops: I, obs: bool) -> Self {
+        ReplayCursor {
+            rank,
+            ops,
+            obs,
+            n_posted: 0,
+            live: HashMap::new(),
+            waited: Vec::new(),
+        }
+    }
+
+    /// Absorbs `resp`, the maestro's answer to the previous simcall (`None`
+    /// on the first step), and returns this rank's next simcall, or `None`
+    /// once its trace is exhausted.
+    ///
+    /// Every captured collective is offered to `claim`; returning `true`
+    /// means the caller issued substitute traffic itself, and the cursor
+    /// skips the captured span and its post indices.
+    pub fn next_call(
+        &mut self,
+        resp: Option<SimResp>,
+        mut claim: impl FnMut(&CollSite<'_>) -> bool,
+    ) -> Option<Simcall> {
+        self.absorb(resp);
+        while let Some(op) = self.ops.next() {
+            match op {
+                TiOp::Compute { flops } => return Some(Simcall::Exec { flops }),
+                TiOp::Sleep { secs } => return Some(Simcall::Sleep { secs }),
+                TiOp::Send {
+                    dst,
+                    cid,
+                    tag,
+                    bytes,
+                } => {
+                    return Some(Simcall::IsendSized {
+                        dst,
+                        cid,
+                        tag,
+                        bytes,
+                    });
                 }
-                let ids = waited.iter().map(|(_, r)| *r).collect();
-                for c in ctx.replay_wait(ids, mode) {
-                    live.remove(&waited[c.index].0);
+                TiOp::Recv {
+                    src,
+                    cid,
+                    tag,
+                    max_bytes,
+                } => {
+                    return Some(Simcall::Irecv {
+                        src,
+                        cid,
+                        tag,
+                        max_bytes,
+                    });
                 }
-            }
-            TiOp::Region { name, enter } => {
-                ctx.replay_region(intern_region(&name), enter);
-            }
-            TiOp::Coll {
-                name,
-                algo,
-                span,
-                posts,
-            } => {
-                let claimed = hook.is_some_and(|h| {
-                    h(
-                        ctx,
-                        &CollSite {
-                            rank: ctx.rank(),
-                            name: &name,
-                            algo: &algo,
-                            span,
-                            posts,
-                        },
-                    )
-                });
-                if claimed {
-                    // Skip the captured implementation (through the closing
-                    // region exit) and advance the post counter past its
-                    // posts, so later captured waits keep their index
-                    // alignment; waits naming the skipped indices find
-                    // nothing live and are filtered.
-                    for _ in 0..span {
-                        ops.next();
+                TiOp::Wait { reqs, mode } => {
+                    self.waited.clear();
+                    let mut ids = Vec::new();
+                    for ix in reqs {
+                        if let Some(&req) = self.live.get(&ix) {
+                            self.waited.push(ix);
+                            ids.push(req);
+                        }
                     }
-                    n_posted += posts;
-                } else {
-                    ctx.replay_region(intern_region(&name), true);
+                    if ids.is_empty() {
+                        continue; // captured wait already satisfied here
+                    }
+                    return Some(Simcall::Wait { reqs: ids, mode });
+                }
+                TiOp::Region { name, enter } => {
+                    if self.obs {
+                        let name = intern_region(&name);
+                        return Some(Simcall::Region { name, enter });
+                    }
+                }
+                TiOp::Coll {
+                    name,
+                    algo,
+                    span,
+                    posts,
+                } => {
+                    let site = CollSite {
+                        rank: self.rank,
+                        name: &name,
+                        algo: &algo,
+                        span,
+                        posts,
+                    };
+                    if claim(&site) {
+                        // Skip the captured implementation (through the
+                        // closing region exit) and advance the post counter
+                        // past its posts, so later captured waits keep their
+                        // index alignment; waits naming the skipped indices
+                        // find nothing live and are filtered.
+                        for _ in 0..span {
+                            self.ops.next();
+                        }
+                        self.n_posted += posts;
+                    } else if self.obs {
+                        let name = intern_region(&name);
+                        return Some(Simcall::Region { name, enter: true });
+                    }
                 }
             }
         }
+        None
+    }
+
+    fn absorb(&mut self, resp: Option<SimResp>) {
+        match resp {
+            // A send/recv post: the request of the next post index.
+            Some(SimResp::Req(req)) => {
+                self.live.insert(self.n_posted, req);
+                self.n_posted += 1;
+            }
+            Some(SimResp::Done(done)) => {
+                for c in done {
+                    self.live.remove(&self.waited[c.index]);
+                }
+            }
+            None | Some(SimResp::Unit) => {}
+            Some(other) => unreachable!("a replay cursor never asks for {other:?}"),
+        }
+    }
+}
+
+/// The thread-free replay driver: steps runnable cursors in actor-id
+/// order, answering each with the maestro's last response — the simix
+/// scheduling contract, with a function call where simix passes a baton.
+struct CursorDriver<I> {
+    cursors: Vec<ReplayCursor<I>>,
+    /// The maestro's pending answer to each cursor.
+    answers: Vec<Option<SimResp>>,
+    queue: RunQueue,
+}
+
+impl<I> CursorDriver<I> {
+    fn new(cursors: Vec<ReplayCursor<I>>) -> Self {
+        let mut queue = RunQueue::new();
+        for _ in 0..cursors.len() {
+            queue.add_actor();
+        }
+        CursorDriver {
+            answers: cursors.iter().map(|_| None).collect(),
+            cursors,
+            queue,
+        }
+    }
+}
+
+impl<I: Iterator<Item = TiOp>> Driver<Simcall, SimResp> for CursorDriver<I> {
+    fn num_actors(&self) -> usize {
+        self.cursors.len()
+    }
+
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Simcall>>) {
+        events.clear();
+        let batch = self.queue.take_batch();
+        for &id in &batch {
+            let rank = id.0 as usize;
+            let resp = self.answers[rank].take();
+            events.push(match self.cursors[rank].next_call(resp, |_| false) {
+                Some(call) => ActorEvent::Request(id, call),
+                None => ActorEvent::Finished(id),
+            });
+        }
+        self.queue.recycle(batch);
+    }
+
+    fn resolve(&mut self, id: ActorId, resp: SimResp) {
+        self.answers[id.0 as usize] = Some(resp);
+        self.queue.wake(id);
+    }
+
+    fn has_runnable(&self) -> bool {
+        self.queue.has_runnable()
     }
 }
 
@@ -540,12 +704,10 @@ mod tests {
         assert_eq!(c_online.to_json(), c_replay.to_json());
     }
 
-    #[test]
-    fn waits_on_consumed_requests_are_skipped() {
-        // A hand-written trace whose second wait re-lists an index that the
-        // first wait consumed and adds nothing live: replay must skip it
-        // rather than panic, and still finish.
-        let trace = TiTrace {
+    /// A hand-written trace whose second wait re-lists an index that the
+    /// first wait consumed and adds nothing live.
+    fn consumed_waits_trace() -> TiTrace {
+        TiTrace {
             ranks: vec![
                 vec![
                     TiOp::Send {
@@ -580,10 +742,166 @@ mod tests {
                     },
                 ],
             ],
-        };
-        let world = small_world();
-        let report = replay(&world, &trace);
+        }
+    }
+
+    #[test]
+    fn waits_on_consumed_requests_are_skipped() {
+        // Replay must skip the consumed wait rather than panic, and still
+        // finish.
+        let report = replay(&small_world(), &consumed_waits_trace());
         assert!(report.sim_time > 0.0);
+    }
+
+    // ----- differential oracle: cursor driver vs threaded driver --------
+
+    /// Replays on rank threads: a hook that claims nothing forces the
+    /// threaded path, which feeds the same cursor through the `Ctx`.
+    fn threaded<S: OpSource>(world: &World, source: Arc<S>) -> Result<RunReport<()>, SimError> {
+        let opts = ReplayOptions {
+            coll_hook: Some(Arc::new(|_: &Ctx, _: &CollSite<'_>| false)),
+        };
+        try_replay_with(world, source, opts)
+    }
+
+    /// Replays with thread-free cursors (the default, hook-less path).
+    fn cursors<S: OpSource>(world: &World, source: Arc<S>) -> Result<RunReport<()>, SimError> {
+        try_replay_with(world, source, ReplayOptions::default())
+    }
+
+    /// Everything deterministic a replay produces, serialized: the report
+    /// JSON, makespan and finish-time bits, Paje, contention, time series
+    /// and the lossless re-capture of the replay itself.
+    fn fingerprint(mut r: RunReport<()>) -> Vec<(&'static str, String)> {
+        use smpi_obs::Deterministic as _;
+        r.strip_nondeterminism();
+        let bits: Vec<u64> = r.finish_times.iter().map(|t| t.to_bits()).collect();
+        vec![
+            ("report", r.to_json()),
+            ("sim_time", r.sim_time.to_bits().to_string()),
+            ("finish_times", format!("{bits:?}")),
+            ("paje", r.paje()),
+            (
+                "contention",
+                r.contention
+                    .as_ref()
+                    .map(|c| c.to_json())
+                    .unwrap_or_default(),
+            ),
+            (
+                "timeseries",
+                r.timeseries
+                    .as_ref()
+                    .map(|t| t.to_json())
+                    .unwrap_or_default(),
+            ),
+            (
+                "recapture",
+                r.ti_trace
+                    .as_ref()
+                    .map(smpi::encode_v2)
+                    .map(|b| format!("{b:?}"))
+                    .unwrap_or_default(),
+            ),
+        ]
+    }
+
+    /// Both drivers, full observability on `world`, byte-identical outputs.
+    fn assert_drivers_agree<S: OpSource>(label: &str, world: &World, source: Arc<S>) {
+        let world = world
+            .clone()
+            .capture(true)
+            .metrics(true)
+            .tracing(true)
+            .timeseries(true);
+        let a = fingerprint(cursors(&world, Arc::clone(&source)).unwrap());
+        let b = fingerprint(threaded(&world, source).unwrap());
+        for ((what, x), (_, y)) in a.iter().zip(&b) {
+            assert!(
+                !x.is_empty() || *what == "contention",
+                "{label}: empty {what}"
+            );
+            assert_eq!(x, y, "{label}: {what} differs between the drivers");
+        }
+    }
+
+    fn griffon_world() -> World {
+        let rp = Arc::new(RoutedPlatform::new(smpi_platform::griffon()));
+        World::smpi(rp, TransferModel::default_affine())
+    }
+
+    fn golden(name: &str) -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden")
+            .join(name)
+    }
+
+    #[test]
+    fn cursor_driver_matches_threads_on_the_golden_traces() {
+        let v1 = Arc::new(load_trace(golden("dt_s_bh.tit")).unwrap());
+        assert_drivers_agree("dt_s_bh.tit", &griffon_world(), v1);
+        let v2 = Arc::new(TiV2Reader::open(golden("dt_s_bh.tit2")).unwrap());
+        assert_drivers_agree("dt_s_bh.tit2", &griffon_world(), v2);
+    }
+
+    #[test]
+    fn cursor_driver_matches_threads_on_a_model_swap() {
+        // Captured on griffon, replayed on gdx: waits may be filtered.
+        let rp = Arc::new(RoutedPlatform::new(smpi_platform::gdx()));
+        let gdx = World::smpi(rp, TransferModel::default_affine());
+        let trace = Arc::new(load_trace(golden("dt_s_bh.tit2")).unwrap());
+        assert_drivers_agree("griffon trace on gdx", &gdx, trace);
+    }
+
+    #[test]
+    fn cursor_driver_matches_threads_on_app_and_hand_written_traces() {
+        let online = small_world().capture(true).metrics(true).run(4, app);
+        let trace = Arc::new(online.ti_trace.unwrap());
+        assert_drivers_agree("app", &small_world(), trace);
+        assert_drivers_agree(
+            "consumed waits",
+            &small_world(),
+            Arc::new(consumed_waits_trace()),
+        );
+    }
+
+    #[test]
+    fn cursor_driver_matches_threads_on_a_deadlock() {
+        // Rank 1 waits for a tag rank 0 never sends.
+        let post = |tag, send| {
+            if send {
+                TiOp::Send {
+                    dst: 1,
+                    cid: 0,
+                    tag,
+                    bytes: 8,
+                }
+            } else {
+                TiOp::Recv {
+                    src: 0,
+                    cid: 0,
+                    tag,
+                    max_bytes: 8,
+                }
+            }
+        };
+        let wait = TiOp::Wait {
+            reqs: vec![0],
+            mode: WaitMode::All,
+        };
+        let trace = Arc::new(TiTrace {
+            ranks: vec![
+                vec![TiOp::Compute { flops: 1e6 }, post(7, true), wait.clone()],
+                vec![post(9, false), wait],
+            ],
+        });
+        let world = small_world();
+        let a = cursors(&world, Arc::clone(&trace)).unwrap_err();
+        let b = threaded(&world, trace).unwrap_err();
+        assert!(matches!(a, SimError::Deadlock { .. }), "{a}");
+        assert_eq!(a.to_string(), b.to_string());
+        assert_eq!(a.postmortem(), b.postmortem());
+        assert_eq!(a.postmortem().to_json(), b.postmortem().to_json());
     }
 
     #[test]

@@ -25,6 +25,15 @@
 //! space, and drive loops can recycle their event buffer through
 //! [`Simix::run_ready_into`].
 //!
+//! The maestro drives actors through the [`Driver`] seam: the four
+//! operations a drive loop needs (count, step the runnable batch, answer a
+//! simcall, test for runnable work). [`Simix`] implements it with threads
+//! for on-line ranks, whose bodies are arbitrary application code. A rank
+//! with no application code — a replayed trace — needs no thread at all: a
+//! driver can step a plain state machine that yields its next request when
+//! the maestro answers the previous one. [`RunQueue`] gives every driver
+//! the same scheduling contract (runnable actors step in actor-id order).
+//!
 //! ```
 //! // A tiny ping protocol: every simcall is answered with its value + 1.
 //! let mut sx = simix::Simix::<u32, u32>::new();
@@ -74,6 +83,88 @@ pub enum ActorEvent<Req> {
     Request(ActorId, Req),
     /// The actor's body returned; the thread has exited.
     Finished(ActorId),
+}
+
+/// The maestro's view of a set of actors: what a drive loop needs to step
+/// them, and nothing else. Implemented by [`Simix`] (OS-thread actors) and
+/// by thread-free drivers whose actors are state machines.
+///
+/// Contract, shared by every implementation: every actor starts runnable;
+/// [`run_ready_into`](Self::run_ready_into) steps each runnable actor once,
+/// in actor-id order, until it issues a request or finishes; an actor
+/// becomes runnable again only when [`resolve`](Self::resolve) answers its
+/// request.
+pub trait Driver<Req, Resp> {
+    /// Number of actors (alive or finished).
+    fn num_actors(&self) -> usize;
+    /// Steps every runnable actor in actor-id order; clears `events` and
+    /// fills it with what each one did.
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>);
+    /// Answers an actor's pending request, making it runnable again.
+    fn resolve(&mut self, id: ActorId, resp: Resp);
+    /// `true` when at least one actor is runnable.
+    fn has_runnable(&self) -> bool;
+}
+
+/// The runnable set of a [`Driver`]: a dense worklist of ids plus a
+/// per-actor membership flag, handed out in id-sorted batches. The batch
+/// buffer is recycled, so steady-state scheduling never allocates.
+#[derive(Debug, Default)]
+pub struct RunQueue {
+    /// Ids made runnable since the last batch, unordered.
+    runnable: Vec<ActorId>,
+    /// Dense membership flags mirroring `runnable` (guards double-wakes).
+    flag: Vec<bool>,
+    /// Recycled batch buffer (empty between batches).
+    spare: Vec<ActorId>,
+}
+
+impl RunQueue {
+    /// An empty queue with no actors.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Registers the next actor id, runnable from the start.
+    pub fn add_actor(&mut self) -> ActorId {
+        let id = ActorId(self.flag.len() as u32);
+        self.flag.push(true);
+        self.runnable.push(id);
+        id
+    }
+
+    /// Makes `id` runnable. Panics if it already is (a double resolve).
+    pub fn wake(&mut self, id: ActorId) {
+        let flag = &mut self.flag[id.0 as usize];
+        assert!(!*flag, "actor {id:?} resolved twice");
+        *flag = true;
+        self.runnable.push(id);
+    }
+
+    /// `true` when at least one actor is runnable.
+    pub fn has_runnable(&self) -> bool {
+        !self.runnable.is_empty()
+    }
+
+    /// Takes the runnable set as a batch sorted by actor id (wake order is
+    /// arbitrary; id order is the scheduling contract that makes runs
+    /// bit-for-bit deterministic). Hand the buffer back with
+    /// [`recycle`](Self::recycle).
+    pub fn take_batch(&mut self) -> Vec<ActorId> {
+        let mut batch = std::mem::replace(&mut self.runnable, std::mem::take(&mut self.spare));
+        batch.sort_unstable();
+        for id in &batch {
+            self.flag[id.0 as usize] = false;
+        }
+        batch
+    }
+
+    /// Returns a batch buffer taken by [`take_batch`](Self::take_batch), so
+    /// its capacity serves the next batch.
+    pub fn recycle(&mut self, mut batch: Vec<ActorId>) {
+        batch.clear();
+        self.spare = batch;
+    }
 }
 
 /// Marker used to unwind actor threads when the runtime is dropped while
@@ -142,20 +233,13 @@ struct ActorState<Req, Resp> {
 /// The maestro: spawns actors, runs runnable ones (strictly one at a time),
 /// and collects their simcall requests.
 ///
-/// The scheduling hot loop is allocation-free: the runnable set is a dense
-/// worklist (a `Vec` of ids plus a per-actor membership flag) sorted in
-/// place per batch, the batch buffer is swapped rather than collected, and
-/// [`run_ready_into`](Self::run_ready_into) reuses a caller-owned event
-/// buffer across iterations.
+/// The scheduling hot loop is allocation-free: the runnable set is a
+/// [`RunQueue`], and [`run_ready_into`](Self::run_ready_into) reuses a
+/// caller-owned event buffer across iterations.
 pub struct Simix<Req, Resp> {
     actors: Vec<ActorState<Req, Resp>>,
-    /// Ids resolved since the last batch, unordered (sorted at batch time).
-    runnable: Vec<ActorId>,
-    /// Dense membership flags mirroring `runnable` (guards double-resolve).
-    runnable_flag: Vec<bool>,
-    /// Scratch buffer the worklist is swapped into while stepping a batch;
-    /// its capacity is recycled, so steady-state batches never allocate.
-    batch: Vec<ActorId>,
+    /// Runnable actors, stepped in id order.
+    queue: RunQueue,
     /// Stack size for subsequently spawned actor threads.
     stack_size: usize,
 }
@@ -173,9 +257,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         assert!(stack_size > 0, "actor stack size must be non-zero");
         Simix {
             actors: Vec::new(),
-            runnable: Vec::new(),
-            runnable_flag: Vec::new(),
-            batch: Vec::new(),
+            queue: RunQueue::new(),
             stack_size,
         }
     }
@@ -196,7 +278,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     where
         F: FnOnce(&ActorHandle<Req, Resp>) + Send + 'static,
     {
-        let id = ActorId(self.actors.len() as u32);
+        let id = self.queue.add_actor();
+        debug_assert_eq!(id.0 as usize, self.actors.len());
         let shared = Arc::new(Shared {
             slot: Mutex::new(Slot {
                 turn: Turn::Maestro,
@@ -247,8 +330,6 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
             join: Some(join),
             alive: true,
         });
-        self.runnable.push(id);
-        self.runnable_flag.push(true);
         id
     }
 
@@ -270,19 +351,13 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     /// allocation for scheduling.
     pub fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
         events.clear();
-        debug_assert!(self.batch.is_empty());
-        std::mem::swap(&mut self.batch, &mut self.runnable);
-        // Resolution order is arbitrary; actor-id order is the scheduling
-        // contract (bit-for-bit determinism), restored by an in-place sort.
-        self.batch.sort_unstable();
-        events.reserve(self.batch.len());
-        for i in 0..self.batch.len() {
-            let id = self.batch[i];
-            self.runnable_flag[id.0 as usize] = false;
+        let batch = self.queue.take_batch();
+        events.reserve(batch.len());
+        for &id in &batch {
             let ev = self.step(id);
             events.push(ev);
         }
-        self.batch.clear();
+        self.queue.recycle(batch);
     }
 
     /// Gives the baton to one actor and waits until it yields it back.
@@ -334,10 +409,7 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
         );
         slot.response = Some(resp);
         drop(slot);
-        let flag = &mut self.runnable_flag[id.0 as usize];
-        assert!(!*flag, "actor {id:?} resolved twice");
-        *flag = true;
-        self.runnable.push(id);
+        self.queue.wake(id);
     }
 
     /// `true` while the actor has not finished.
@@ -348,7 +420,25 @@ impl<Req: Send + 'static, Resp: Send + 'static> Simix<Req, Resp> {
     /// `true` when at least one actor is runnable (will execute on the next
     /// [`run_ready`](Self::run_ready)).
     pub fn has_runnable(&self) -> bool {
-        !self.runnable.is_empty()
+        self.queue.has_runnable()
+    }
+}
+
+impl<Req: Send + 'static, Resp: Send + 'static> Driver<Req, Resp> for Simix<Req, Resp> {
+    fn num_actors(&self) -> usize {
+        Simix::num_actors(self)
+    }
+
+    fn run_ready_into(&mut self, events: &mut Vec<ActorEvent<Req>>) {
+        Simix::run_ready_into(self, events);
+    }
+
+    fn resolve(&mut self, id: ActorId, resp: Resp) {
+        Simix::resolve(self, id, resp);
+    }
+
+    fn has_runnable(&self) -> bool {
+        Simix::has_runnable(self)
     }
 }
 

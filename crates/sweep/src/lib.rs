@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use smpi::{Backend, Ctx, MpiProfile, RunReport, TiTrace, World};
 use smpi_obs::json::JsonBuf;
-use smpi_obs::{SweepStats, WorkerStats};
+use smpi_obs::{Deterministic, SweepStats, WorkerStats};
 use smpi_platform::RoutedPlatform;
 use surf_sim::{EngineConfig, TransferModel};
 
@@ -296,10 +296,9 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Zeroes every host-dependent field (sweep wall-clock, throughput,
-    /// per-worker busy time) so reports from different machines — or
-    /// different worker counts on one machine — serialize identically
-    /// apart from `workers` and the per-worker scenario split.
+    /// Zeroes the wall-clock fields (sweep wall-clock, throughput,
+    /// per-worker busy time) but keeps the pool's shape: the worker count,
+    /// the per-worker scenario split and the reorder high-water mark.
     pub fn strip_wallclock(&mut self) {
         self.wall_s = 0.0;
         self.scenarios_per_s = 0.0;
@@ -307,9 +306,18 @@ impl SweepReport {
     }
 }
 
-impl smpi_obs::Deterministic for SweepReport {
+impl Deterministic for SweepReport {
+    /// Keeps only what the matrix and the seed determine: the scenario
+    /// count and the per-cell distributions. Wall-clock fields go, and so
+    /// does everything the worker pool decides — the worker count, which
+    /// worker ran or stole which scenario, and how far completions ran
+    /// ahead of the reorder buffer — so the same matrix serializes
+    /// byte-identically at any worker count on any host.
     fn strip_nondeterminism(&mut self) {
         self.strip_wallclock();
+        self.workers = 0;
+        self.reorder_high_water = 0;
+        self.stats.strip_nondeterminism();
     }
 }
 
@@ -801,8 +809,8 @@ mod tests {
         let (mut report_t, lines_t) = run_sweep(&cfg, Vec::new()).unwrap();
         let (mut report_s, lines_s) = run_sweep(&stream_cfg, Vec::new()).unwrap();
         assert_eq!(lines_t, lines_s, "scenario lines diverge");
-        report_t.strip_wallclock();
-        report_s.strip_wallclock();
+        report_t.strip_nondeterminism();
+        report_s.strip_nondeterminism();
         assert_eq!(report_t.to_json(), report_s.to_json());
         // The decoder was shared: blocks decoded at most once per residency
         // window, far fewer times than scenarios replayed.

@@ -164,3 +164,23 @@ fn seed_changes_stochastic_cells_only() {
     }
     assert!(stochastic_changed, "new seed must redraw the jitter");
 }
+
+#[test]
+fn stripped_report_is_byte_identical_at_any_worker_count() {
+    // After `strip_nondeterminism` the whole report — not just its cells —
+    // is a function of the matrix and the seed: the worker count, the
+    // per-worker split, steals and the reorder high-water mark are pool
+    // scheduling, and must not leak into the serialized bytes.
+    use smpi_obs::Deterministic as _;
+    let reports: Vec<String> = [1, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let (mut report, _) = run_sweep(&matrix(workers), Vec::new()).unwrap();
+            report.strip_nondeterminism();
+            report.to_json()
+        })
+        .collect();
+    assert_eq!(reports[0], reports[1], "1 vs 2 workers");
+    assert_eq!(reports[0], reports[2], "1 vs 4 workers");
+    assert!(reports[0].contains("\"scenarios\":30"), "{}", reports[0]);
+}

@@ -43,6 +43,21 @@ fn dt_cross_validation_on_griffon() {
     assert_eq!(cv.online, cv.replayed, "same-world replay should be exact");
 }
 
+/// Ranks sharing a host: DT class B shuffle has 192 ranks on griffon's 92
+/// hosts, so round-robin placement stacks ranks on hosts and some graph
+/// edges join two ranks of one host. Those messages take the local-copy
+/// path; the run completes, and its capture replays bit-exactly.
+#[test]
+fn dt_class_b_shuffle_with_shared_hosts_replays_exactly() {
+    let world = griffon_world().capture(true);
+    let online = dt_online(&world, DtClass::B, DtGraph::Sh);
+    let hosts = griffon().num_hosts();
+    assert!(online.finish_times.len() > hosts, "ranks must share hosts");
+    let replayed = replay::replay(&griffon_world(), online.ti_trace.as_ref().unwrap());
+    assert_eq!(replayed.sim_time.to_bits(), online.sim_time.to_bits());
+    assert_eq!(replayed.finish_times, online.finish_times);
+}
+
 /// NAS EP on griffon. EP's compute bursts are *measured* (wall-clock
 /// sampling), so two online runs differ — but the captured trace pins the
 /// measured values, and its replay must reproduce this run's makespan.
